@@ -1,0 +1,16 @@
+package main
+
+import (
+	"syscall"
+	"time"
+	"unsafe"
+)
+
+const clockThreadCPUTimeID = 3 // CLOCK_THREAD_CPUTIME_ID
+
+// threadCPU returns the CPU time the calling OS thread has used.
+func threadCPU() time.Duration {
+	var ts syscall.Timespec
+	syscall.Syscall(syscall.SYS_CLOCK_GETTIME, clockThreadCPUTimeID, uintptr(unsafe.Pointer(&ts)), 0)
+	return time.Duration(ts.Nano())
+}
